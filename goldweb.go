@@ -121,9 +121,9 @@ func LintStylesheetAgainst(name string, src []byte, s *Schema) []Diagnostic {
 	return analysis.LintStylesheet(name, src, s)
 }
 
-// LintModel statically checks a model document: structural validation
-// against the XML Schema plus re-evaluation of its key/keyref identity
-// constraints with enriched, positioned messages.
+// LintModel statically checks a model document with one validation
+// against the XML Schema, reporting its key/keyref identity violations
+// with enriched, positioned messages.
 func LintModel(name string, src []byte) []Diagnostic {
 	return analysis.LintModelSource(name, src, core.MustSchema())
 }

@@ -66,6 +66,20 @@ func TestGoldenModels(t *testing.T) {
 	})
 }
 
+// TestGoldenIdentity pins GW402 on vocabularies other than GOLD (whose
+// schema declares no xs:unique): each testdata/identity/<name>.xml is
+// linted against the companion <name>.xsd.
+func TestGoldenIdentity(t *testing.T) {
+	runGolden(t, "identity", ".xml", func(name string, src []byte) []analysis.Diagnostic {
+		xsdFile := filepath.Join("testdata", "identity", strings.TrimSuffix(name, ".xml")+".xsd")
+		schema, err := xsd.LoadSchemaFile(xsdFile)
+		if err != nil {
+			t.Fatalf("loading %s: %v", xsdFile, err)
+		}
+		return analysis.LintModelSource(name, src, schema)
+	})
+}
+
 // TestGoldenGeneralSchema exercises the schema-parametric frontier: the
 // committed non-GOLD example vocabulary (examples/library, a multi-file
 // schema with substitution groups, wildcards, union and list types) is

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"goldweb/internal/xmldom"
-	"goldweb/internal/xpath"
 	"goldweb/internal/xsd"
 )
 
@@ -25,186 +24,44 @@ func LintModelSource(file string, src []byte, schema *xsd.Schema) []Diagnostic {
 	return LintModel(file, doc, schema)
 }
 
-// LintModel lints an already-parsed model document. The document must be
-// mutable: schema-supplied attribute defaults are applied before the
-// referential checks, exactly as at publication time.
+// LintModel lints an already-parsed model document with one full
+// validation: schema-supplied attribute defaults are applied to doc in
+// place, exactly as at publication time, so doc must not be frozen.
 func LintModel(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
+	return ModelDiagnostics(file, schema.Validate(doc, xsd.ValidateOptions{ApplyDefaults: true}))
+}
+
+// ModelDiagnostics renders a validation verdict as sorted diagnostics:
+// GW402 for identity-constraint violations, from their structured form
+// (the governing key named, scoped per declaring element instance
+// exactly as §3.1 prescribes), GW401 for everything else.
+func ModelDiagnostics(file string, errs []xsd.ValidationError) []Diagnostic {
 	var diags []Diagnostic
-	structural := schema.Validate(doc, xsd.ValidateOptions{
-		ApplyDefaults:           true,
-		SkipIdentityConstraints: true,
-	})
-	for _, e := range structural {
-		diags = append(diags, Diagnostic{
-			File: file, Line: e.Line,
-			Severity: SevError, Code: CodeModelInvalid,
-			Msg: e.Path + ": " + e.Msg,
-		})
+	for _, e := range errs {
+		d := Diagnostic{File: file, Line: e.Line, Severity: SevError, Code: CodeModelInvalid, Msg: e.Path + ": " + e.Msg}
+		if id := e.Identity; id != nil {
+			ic := id.Constraint
+			d.Col, d.Code = id.Node.Col, CodeBrokenKeyref
+			switch {
+			case id.First != nil:
+				d.Msg = fmt.Sprintf("%s '%s': duplicate value '%s' (first selected at line %d)",
+					ic.Kind, ic.Name, id.Value, id.First.Line)
+			case id.Target != nil:
+				d.Msg = fmt.Sprintf("keyref '%s': value '%s' matches no '%s' key value within %s (key selects %s, field %s; declared values: %s)",
+					ic.Name, id.Value, ic.Refer, id.Scope.Name,
+					id.Target.SelectorSource(), strings.Join(id.Target.FieldSources(), ", "),
+					valueList(id.Keys))
+			}
+		}
+		diags = append(diags, d)
 	}
-	diags = append(diags, lintReferences(file, doc, schema)...)
 	Sort(diags)
 	return diags
 }
 
-// constraintScopes maps element names to the identity constraints their
-// declarations carry, collected across the whole (Russian-doll) schema.
-func constraintScopes(s *xsd.Schema) map[string][]*xsd.IdentityConstraint {
-	out := map[string][]*xsd.IdentityConstraint{}
-	visited := map[*xsd.ElementDecl]bool{}
-	var visit func(d *xsd.ElementDecl)
-	var visitParticle func(p *xsd.Particle)
-	visit = func(d *xsd.ElementDecl) {
-		if d == nil || visited[d] {
-			return
-		}
-		visited[d] = true
-		if len(d.Constraints) > 0 {
-			out[d.Name] = append(out[d.Name], d.Constraints...)
-		}
-		if d.Complex != nil {
-			visitParticle(d.Complex.Content)
-		}
-	}
-	visitParticle = func(p *xsd.Particle) {
-		if p == nil {
-			return
-		}
-		if p.Kind == xsd.PElement {
-			visit(p.Elem)
-			return
-		}
-		for _, c := range p.Children {
-			visitParticle(c)
-		}
-	}
-	for _, d := range s.Elements {
-		visit(d)
-	}
-	return out
-}
-
-// lintReferences re-evaluates every key/unique/keyref constraint the
-// schema declares, reporting violations as GW402 with the governing key
-// and its declared value set — richer than the validator's message, and
-// scoped per declaring element instance exactly as §3.1 prescribes.
-func lintReferences(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
-	scopes := constraintScopes(schema)
-	if len(scopes) == 0 {
-		return nil
-	}
-	var diags []Diagnostic
-	var walk func(n *xmldom.Node)
-	walk = func(n *xmldom.Node) {
-		if n.Type == xmldom.ElementNode {
-			if ics := scopes[n.Name]; ics != nil {
-				diags = append(diags, checkScope(file, n, ics)...)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(doc)
-	return diags
-}
-
-func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) []Diagnostic {
-	var diags []Diagnostic
-	flag := func(at *xmldom.Node, format string, args ...interface{}) {
-		d := Diagnostic{File: file, Severity: SevError, Code: CodeBrokenKeyref}
-		if at != nil {
-			d.Line, d.Col = at.Line, at.Col
-		}
-		d.Msg = fmt.Sprintf(format, args...)
-		diags = append(diags, d)
-	}
-	for _, ic := range ics {
-		vals, nodes := constraintTuples(elem, ic)
-		switch ic.Kind {
-		case xsd.KeyConstraint, xsd.UniqueConstraint:
-			seen := map[string]*xmldom.Node{}
-			for i, v := range vals {
-				if v == "" {
-					continue // the validator reports missing key fields
-				}
-				if prev, dup := seen[v]; dup {
-					flag(nodes[i], "%s '%s': duplicate value '%s' (first selected at line %d)",
-						ic.Kind, ic.Name, v, prev.Line)
-					continue
-				}
-				seen[v] = nodes[i]
-			}
-		case xsd.KeyrefConstraint:
-			var target *xsd.IdentityConstraint
-			for _, other := range ics {
-				if other.Name == ic.Refer && other.Kind != xsd.KeyrefConstraint {
-					target = other
-					break
-				}
-			}
-			if target == nil {
-				continue // schema-level problem, reported by CheckSchema
-			}
-			keyVals, _ := constraintTuples(elem, target)
-			keys := map[string]bool{}
-			for _, v := range keyVals {
-				if v != "" {
-					keys[v] = true
-				}
-			}
-			for i, v := range vals {
-				if v == "" || keys[v] {
-					continue
-				}
-				flag(nodes[i], "keyref '%s': value '%s' matches no '%s' key value within %s (key selects %s, field %s; declared values: %s)",
-					ic.Name, v, ic.Refer, elem.Name,
-					target.SelectorSource(), strings.Join(target.FieldSources(), ", "),
-					valueList(keys))
-			}
-		}
-	}
-	return diags
-}
-
-// constraintTuples evaluates a constraint's selector and fields below
-// elem, returning one joined field tuple per selected node ("" when a
-// field is absent).
-func constraintTuples(elem *xmldom.Node, ic *xsd.IdentityConstraint) ([]string, []*xmldom.Node) {
-	ctx := xpath.GetContext()
-	defer xpath.PutContext(ctx)
-	ctx.Node, ctx.Position, ctx.Size = elem, 1, 1
-	selected, err := ic.Selector.EvalNodes(ctx)
-	if err != nil {
-		return nil, nil
-	}
-	tuples := make([]string, len(selected))
-	fctx := ctx
-	for i, n := range selected {
-		var parts []string
-		complete := true
-		for _, f := range ic.Fields {
-			fctx.Node = n
-			fv, err := f.Eval(fctx)
-			if err != nil {
-				complete = false
-				break
-			}
-			if ns, isNS := fv.(xpath.NodeSet); isNS && len(ns) == 0 {
-				complete = false
-				break
-			}
-			parts = append(parts, xpath.ToString(fv))
-		}
-		if complete {
-			tuples[i] = strings.Join(parts, "\x1f")
-		}
-	}
-	return tuples, selected
-}
-
 // valueList renders up to eight declared key values, sorted, for the
 // GW402 message.
-func valueList(keys map[string]bool) string {
+func valueList(keys map[string]*xmldom.Node) string {
 	if len(keys) == 0 {
 		return "(none)"
 	}

@@ -75,9 +75,11 @@ const (
 	// LintStrict (the default): error-severity lint findings fail the
 	// swap and roll back — a model that lints dirty never goes live.
 	LintStrict LintPolicy = "strict"
-	// LintWarn: findings are reported via the event hook but don't gate.
+	// LintWarn: findings are reported via the event hook but don't gate
+	// here; the shadow publish's full validation still fails the swap.
 	LintWarn LintPolicy = "warn"
-	// LintOff: the lint stage is skipped entirely.
+	// LintOff: the lint stage is skipped entirely; identity violations
+	// fail the swap at the shadow publish.
 	LintOff LintPolicy = "off"
 )
 
@@ -483,40 +485,43 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		return fmt.Errorf("parse: %w", perr)
 	}
 
-	// Stage 2: structural XSD validation — grammar and types, applying
-	// schema defaults in place — plus model construction. Referential
-	// integrity (key/keyref) is deliberately left to the lint gate,
-	// which reports violations with the governing key named; the shadow
-	// publish re-runs full validation as a backstop when the gate is off.
+	// Stage 2: the one validation of the source — grammar, types and
+	// identity constraints, applying schema defaults in place — plus
+	// model construction. Only structural violations fail here: the
+	// key/keyref verdict is the lint gate's to judge, which names the
+	// governing key.
 	stage = "validate"
-	verrs := c.schema.Validate(doc, xsd.ValidateOptions{
-		ApplyDefaults:           true,
-		SkipIdentityConstraints: true,
-	})
-	if len(verrs) > 0 {
-		return fmt.Errorf("validate: %v (%d problems)", verrs[0], len(verrs))
+	verrs := c.schema.Validate(doc, xsd.ValidateOptions{ApplyDefaults: true})
+	var structural []xsd.ValidationError
+	for _, e := range verrs {
+		if e.Identity == nil {
+			structural = append(structural, e)
+		}
+	}
+	if len(structural) > 0 {
+		return fmt.Errorf("validate: %v (%d problems)", structural[0], len(structural))
 	}
 	m, merr := core.ModelFromXML(doc)
 	if merr != nil {
 		return fmt.Errorf("validate: %w", merr)
 	}
 
-	// Stage 3: lint gate.
+	// Stage 3: lint gate, reading stage 2's identity verdict.
 	stage = "lint"
-	if c.opts.Lint != LintOff {
-		diags := analysis.LintModel(e.name+".xml", doc, c.schema)
-		if analysis.HasErrors(diags) {
-			summary := fmt.Errorf("lint: %d findings, first: %s", len(diags), diags[0])
-			if c.opts.Lint == LintStrict {
-				return summary
-			}
-			c.emit(Event{Model: e.name, Type: EventLintFindings, Err: summary})
+	if c.opts.Lint != LintOff && len(verrs) > 0 {
+		diags := analysis.ModelDiagnostics(e.name+".xml", verrs)
+		summary := fmt.Errorf("lint: %d findings, first: %s", len(diags), diags[0])
+		if c.opts.Lint == LintStrict {
+			return summary
 		}
+		c.emit(Event{Model: e.name, Type: EventLintFindings, Err: summary})
 	}
 
-	// Stage 4: shadow publish. The server validates the snapshot again
-	// and runs the full publication pipeline against it without touching
-	// the live snapshot — a failure here leaves last-good untouched.
+	// Stage 4: shadow publish. The server fully validates the canonical
+	// document the model renders — the backstop that fails identity
+	// violations the lint gate let through (warn/off) — and runs the
+	// publication pipeline against it without touching the live
+	// snapshot, so a failure here leaves last-good untouched.
 	stage = "publish"
 	staged, serr := e.srv.Stage(sctx, m)
 	if serr != nil {

@@ -188,42 +188,56 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 	}
 }
 
+// TestLintPolicies pins the stage each kind of invalid model fails at
+// under every lint policy. Stage 2 validates the source once: structural
+// violations fail there whatever the policy; identity (keyref) violations
+// are the lint gate's under strict, surface as a findings event under
+// warn, and in both warn and off are refused by the shadow publish's
+// full validation of the canonical document.
+// TestLintPolicies pins the stage each kind of invalid model fails at
+// under every lint policy (the table in DESIGN.md §9).
 func TestLintPolicies(t *testing.T) {
 	good := modelSource(t, "Sales DW")
-	bad := keyrefBroken(good)
+	structural, keyref := structuralBad(good), keyrefBroken(good)
+	cases := []struct {
+		input  string
+		src    []byte
+		policy LintPolicy
+		stage  string
+		events int // lint-findings events
+	}{
+		{"structural error", structural, LintStrict, "validate", 0},
+		{"structural error", structural, LintWarn, "validate", 0},
+		{"structural error", structural, LintOff, "validate", 0},
+		{"keyref break", keyref, LintStrict, "lint", 0},
+		{"keyref break", keyref, LintWarn, "publish", 1},
+		{"keyref break", keyref, LintOff, "publish", 0},
+	}
 	ctx := context.Background()
-
-	// Strict (default): the gate itself rejects.
-	c := New(Options{DisableRetry: true})
-	err := c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "lint:") {
-		t.Fatalf("strict: err = %v, want lint-stage failure", err)
-	}
-
-	// Warn: findings are surfaced as an event but don't gate; the shadow
-	// publish's full validation is the backstop that still rejects.
-	log := &eventLog{}
-	c = New(Options{DisableRetry: true, Lint: LintWarn, OnEvent: log.add})
-	err = c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "publish:") {
-		t.Fatalf("warn: err = %v, want publish-stage failure", err)
-	}
-	if log.count(EventLintFindings) != 1 {
-		t.Fatalf("warn: %d lint-findings events, want 1", log.count(EventLintFindings))
-	}
-
-	// Off: no gate, no findings event; the backstop still holds.
-	log = &eventLog{}
-	c = New(Options{DisableRetry: true, Lint: LintOff, OnEvent: log.add})
-	err = c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "publish:") {
-		t.Fatalf("off: err = %v, want publish-stage failure", err)
-	}
-	if log.count(EventLintFindings) != 0 {
-		t.Fatal("off: lint event emitted with the stage disabled")
+	for _, tc := range cases {
+		t.Run(tc.input+"/"+string(tc.policy), func(t *testing.T) {
+			log := &eventLog{}
+			c := New(Options{DisableRetry: true, Lint: tc.policy, OnEvent: log.add})
+			defer c.Close()
+			err := c.Set(ctx, "m", tc.src)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.stage+":") {
+				t.Fatalf("err = %v, want a %s-stage failure", err, tc.stage)
+			}
+			if n := log.count(EventLintFindings); n != tc.events {
+				t.Fatalf("%d lint-findings events, want %d", n, tc.events)
+			}
+			var stages []string
+			log.mu.Lock()
+			for _, ev := range log.evs {
+				if ev.Type == EventStageFailed {
+					stages = append(stages, ev.Stage)
+				}
+			}
+			log.mu.Unlock()
+			if len(stages) != 1 || stages[0] != tc.stage {
+				t.Fatalf("stage-failed events name %v, want [%s]", stages, tc.stage)
+			}
+		})
 	}
 }
 

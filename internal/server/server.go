@@ -34,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -52,6 +53,7 @@ import (
 	"goldweb/internal/cwm"
 	"goldweb/internal/htmlgen"
 	"goldweb/internal/xmldom"
+	"goldweb/internal/xsd"
 )
 
 // GenerationHeader carries the snapshot generation a response was
@@ -84,10 +86,12 @@ type snapshot struct {
 	// /model.xml and /pretty, which must not show schema defaults.
 	doc *xmldom.Node
 	// pubDoc is the publication source: validated once at swap time with
-	// schema defaults applied. pubErr records a validation failure; the
-	// publication path reports it instead of transforming.
-	pubDoc *xmldom.Node
-	pubErr error
+	// schema defaults applied. pubErrs is that verdict; pubErr summarizes
+	// it for the publication path, which reports it instead of
+	// transforming.
+	pubDoc  *xmldom.Node
+	pubErrs []xsd.ValidationError
+	pubErr  error
 	// focuses is the set of fact class ids that are valid ?focus= values;
 	// anything else is a 404 before it can touch the cache.
 	focuses map[string]bool
@@ -99,6 +103,12 @@ type snapshot struct {
 	prettyXML *artifact.Artifact
 	clientXML *artifact.Artifact
 	cwmXMI    *artifact.Artifact
+
+	// report is the interned /validate response, rendered from pubErrs
+	// on the first request rather than at swap time (nil when the swap
+	// that replaced this snapshot came first).
+	reportOnce sync.Once
+	report     *artifact.Artifact
 }
 
 // release returns the snapshot's interning references when it is
@@ -108,6 +118,51 @@ func (snap *snapshot) release() {
 	snap.prettyXML.Release()
 	snap.clientXML.Release()
 	snap.cwmXMI.Release()
+	// Settle the lazy report: one built while the snapshot was live
+	// returns its reference, and none is interned from now on.
+	snap.reportOnce.Do(func() {})
+	if snap.report != nil {
+		snap.report.Release()
+	}
+}
+
+// validationReport returns the snapshot's /validate artifact, building
+// it once from the swap-time verdict and the metamodel check.
+func (snap *snapshot) validationReport(store *artifact.Store) *artifact.Artifact {
+	const ct = "text/plain; charset=utf-8"
+	snap.reportOnce.Do(func() {
+		snap.report = store.Intern(ct, renderValidationReport(snap.model, snap.pubErrs))
+	})
+	if snap.report == nil {
+		// A request still holding a snapshot that was replaced before
+		// anyone asked for its report: serve it unmanaged.
+		return artifact.New(ct, renderValidationReport(snap.model, snap.pubErrs))
+	}
+	return snap.report
+}
+
+// renderValidationReport renders the plain-text /validate report: VALID,
+// or every schema and metamodel problem, sorted.
+func renderValidationReport(m *core.Model, schemaErrs []xsd.ValidationError) []byte {
+	var b bytes.Buffer
+	semErrs := m.Validate()
+	if len(schemaErrs) == 0 && len(semErrs) == 0 {
+		fmt.Fprintf(&b, "VALID: %s conforms to the XML Schema and the metamodel constraints\n", m.Name)
+		return b.Bytes()
+	}
+	var lines []string
+	for _, e := range schemaErrs {
+		lines = append(lines, "schema: "+e.Error())
+	}
+	for _, e := range semErrs {
+		lines = append(lines, "model: "+e.Error())
+	}
+	sort.Strings(lines)
+	fmt.Fprintf(&b, "INVALID: %d problems\n", len(lines))
+	for _, l := range lines {
+		fmt.Fprintln(&b, l)
+	}
+	return b.Bytes()
 }
 
 // PublishFunc generates a presentation for a model. When unset the
@@ -259,7 +314,8 @@ func (s *Server) buildSnapshot(m *core.Model) *snapshot {
 	// path never re-validates; the defaults-applied document is frozen and
 	// shared by every concurrent transformation.
 	snap.pubDoc = m.ToXML()
-	if errs := core.ValidateDocument(snap.pubDoc); len(errs) > 0 {
+	snap.pubErrs = core.ValidateDocument(snap.pubDoc)
+	if errs := snap.pubErrs; len(errs) > 0 {
 		snap.pubErr = fmt.Errorf("document is invalid: %v (%d problems)", errs[0], len(errs))
 	}
 	xmldom.Freeze(snap.pubDoc)
@@ -675,31 +731,8 @@ func (s *Server) appMux() http.Handler {
 		staticSchemaXSD.Serve(w, r, s.compress)
 	})
 	mux.HandleFunc("/validate", func(w http.ResponseWriter, r *http.Request) {
-		snap := s.snapFor(w, r)
-		if snap == nil {
-			return
-		}
-		// Validation applies schema defaults to the document, so it works
-		// on a private editable copy of the frozen snapshot.
-		doc := snap.doc.Editable()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		schemaErrs := core.ValidateDocument(doc)
-		semErrs := snap.model.Validate()
-		if len(schemaErrs) == 0 && len(semErrs) == 0 {
-			fmt.Fprintf(w, "VALID: %s conforms to the XML Schema and the metamodel constraints\n", snap.model.Name)
-			return
-		}
-		var lines []string
-		for _, e := range schemaErrs {
-			lines = append(lines, "schema: "+e.Error())
-		}
-		for _, e := range semErrs {
-			lines = append(lines, "model: "+e.Error())
-		}
-		sort.Strings(lines)
-		fmt.Fprintf(w, "INVALID: %d problems\n", len(lines))
-		for _, l := range lines {
-			fmt.Fprintln(w, l)
+		if snap := s.snapFor(w, r); snap != nil {
+			snap.validationReport(s.store).Serve(w, r, s.compress)
 		}
 	})
 	return mux

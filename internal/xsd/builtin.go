@@ -144,9 +144,24 @@ func (st *SimpleType) normalize(v string) string {
 			return r
 		}, v)
 	case "collapse":
+		if collapsed(v) {
+			return v
+		}
 		return strings.Join(strings.Fields(v), " ")
 	}
 	return v
+}
+
+// collapsed reports whether collapsing v would leave it unchanged: ASCII
+// without control characters, and spaces only singly between other
+// bytes. Most values already are, and skip the rebuild.
+func collapsed(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c >= 0x80 || c < ' ' || c == ' ' && (i == 0 || i == len(v)-1 || v[i-1] == ' ') {
+			return false
+		}
+	}
+	return true
 }
 
 // checkBuiltin validates a (whitespace-normalized) lexical value against a

@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -225,5 +226,22 @@ func TestXMLNamespaceAttributesPass(t *testing.T) {
 	// schema-declared attributes.
 	if errs := s.ValidateString(`<e xmlns:foo="urn:x" xml:lang="en"/>`, ValidateOptions{}); len(errs) != 0 {
 		t.Errorf("infrastructure attributes rejected: %v", errs)
+	}
+}
+
+// TestCollapsedFastPath: the fast path keeps a value only when the full
+// collapse would have produced the same string, and takes it for the
+// already-collapsed ASCII values that dominate instances.
+func TestCollapsedFastPath(t *testing.T) {
+	for _, v := range []string{"", " ", "a ", " a", "a  b", "a\tb", "a\nb", "\r", "a\vb", "a\fb",
+		"a\u00a0b", "a\u0085b", "é"} {
+		if collapsed(v) && v != strings.Join(strings.Fields(v), " ") {
+			t.Errorf("collapsed(%q) = true, but collapsing changes it", v)
+		}
+	}
+	for _, v := range []string{"a", "a b", "1..M", "dc1 dc2 dc3", "2002-03-25"} {
+		if !collapsed(v) {
+			t.Errorf("collapsed(%q) = false, want the fast path", v)
+		}
 	}
 }

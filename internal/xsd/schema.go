@@ -276,11 +276,31 @@ type ValidationError struct {
 	Path string // instance path of the offending node
 	Line int
 	Msg  string
+	// Identity is set on key/unique/keyref violations (nil for every
+	// other kind), so callers can render them from structured fields.
+	Identity *IdentityViolation
 
 	// ord is the offending node's document-order stamp on frozen
 	// documents (0 otherwise); the validator uses it to report identity-
 	// constraint violations in document order deterministically.
 	ord uint64
+}
+
+// IdentityViolation is the structured form of one identity-constraint
+// violation. A duplicate key/unique value has First; an unresolved
+// keyref value has Target and Keys; a missing field, a failed selector
+// or field, or a keyref naming no key in scope has neither.
+type IdentityViolation struct {
+	Constraint *IdentityConstraint
+	Scope      *xmldom.Node // element instance whose declaration carries Constraint
+	Node       *xmldom.Node // offending selected node (Scope when the whole constraint failed)
+	Value      string       // Node's field tuple, fields joined by U+001F
+	First      *xmldom.Node // the node that first selected Value
+	// Target is the key or unique constraint a keyref refers to; Keys
+	// maps its tuples within Scope to the first node selecting each, is
+	// shared by every violation of the scope, and must not be modified.
+	Target *IdentityConstraint
+	Keys   map[string]*xmldom.Node
 }
 
 func (e ValidationError) Error() string {

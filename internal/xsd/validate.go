@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,7 +22,9 @@ type ValidateOptions struct {
 	MaxErrors int
 	// SkipIdentityConstraints disables key/keyref/unique checking, leaving
 	// only DTD-style ID/IDREF integrity — the ablation of the paper's §3.1
-	// claim that keyrefs improve on their earlier DTD proposal.
+	// claim that keyrefs improve on their earlier DTD proposal. With it
+	// unset, identity violations carry ValidationError.Identity, which is
+	// what the model linter renders as GW402.
 	SkipIdentityConstraints bool
 }
 
@@ -67,16 +70,27 @@ type validator struct {
 	ids    map[string]*xmldom.Node
 	idrefs []idref
 	full   bool // MaxErrors reached
-	// parts is scratch for identity-constraint field tuples, reused
-	// across every selected node of every constraint.
-	parts []string
+	// parts and tuples are scratch for identity-constraint field tuples,
+	// reused across every selected node of every constraint.
+	parts  []string
+	tuples []string
+	// slots is the stack of element children under content matching;
+	// matcher's slab is reused by every element of the validation.
+	slots   []childSlot
+	matcher contentMatcher
 }
 
 func (v *validator) errf(n *xmldom.Node, format string, args ...interface{}) {
+	v.report(n, nil, format, args...)
+}
+
+// report records a violation at node n (iv is its structured form for
+// identity-constraint violations) until MaxErrors is reached.
+func (v *validator) report(n *xmldom.Node, iv *IdentityViolation, format string, args ...interface{}) {
 	if v.full {
 		return
 	}
-	e := ValidationError{Msg: fmt.Sprintf(format, args...)}
+	e := ValidationError{Msg: fmt.Sprintf(format, args...), Identity: iv}
 	if n != nil {
 		e.Path = n.Path()
 		e.Line = n.Line
@@ -104,9 +118,7 @@ func (v *validator) validateElement(elem *xmldom.Node, decl *ElementDecl) {
 	}
 	if !v.opts.SkipIdentityConstraints && len(decl.Constraints) > 0 {
 		start := len(v.errs)
-		for _, ic := range decl.Constraints {
-			v.checkConstraintScope(elem, decl, ic)
-		}
+		v.checkIdentity(elem, decl)
 		// On frozen documents, report this element's identity-constraint
 		// violations in document order of the offending nodes rather than
 		// constraint-declaration order; the sort is stable so unfrozen
@@ -157,38 +169,48 @@ func (v *validator) validateComplexElement(elem *xmldom.Node, ct *ComplexType) {
 		}
 	}
 
-	kids := elem.Elements()
-	if ct.Content == nil {
-		if len(kids) > 0 {
-			v.errf(kids[0], "element %s must be empty but contains <%s>", elem.FullName(), kids[0].FullName())
+	// The element children live on the validator's slot stack for the
+	// duration of this element: matching fills in their assignments,
+	// then each child is validated (which pushes its own children above).
+	base := len(v.slots)
+	for _, c := range elem.Children {
+		if c.Type == xmldom.ElementNode {
+			v.slots = append(v.slots, childSlot{node: c})
 		}
+	}
+	n := len(v.slots) - base
+	if ct.Content == nil {
+		if n > 0 {
+			k := v.slots[base].node
+			v.errf(k, "element %s must be empty but contains <%s>", elem.FullName(), k.FullName())
+		}
+		v.slots = v.slots[:base]
 		return
 	}
-	assign := map[*xmldom.Node]*ElementDecl{}
-	wild := map[*xmldom.Node]*Wildcard{}
-	m := &contentMatcher{schema: v.schema, kids: kids, assign: assign, wild: wild}
-	end := m.reach(ct.Content, singlePos(0))
-	if !end[len(kids)] {
-		culprit := m.maxPos
-		if culprit < len(kids) {
-			v.errf(kids[culprit], "element <%s> is not allowed here in %s (content model %s)",
-				kids[culprit].FullName(), elem.FullName(), particleLabel(ct.Content))
+	m := &v.matcher
+	valid := m.match(v.schema, ct.Content, v.slots[base:base+n:base+n])
+	if !valid {
+		if culprit := m.maxPos; culprit < n {
+			k := v.slots[base+culprit].node
+			v.errf(k, "element <%s> is not allowed here in %s (content model %s)",
+				k.FullName(), elem.FullName(), particleLabel(ct.Content))
 		} else {
 			v.errf(elem, "element %s is missing required content (model %s)",
 				elem.FullName(), particleLabel(ct.Content))
 		}
-		// Continue into children best-effort so nested errors surface.
+		// Continue into children best-effort so nested errors surface;
+		// children the model did not match are skipped silently.
 	}
-	for _, k := range kids {
-		if d := assign[k]; d != nil {
-			v.validateElement(k, d)
-		} else if w := wild[k]; w != nil {
-			v.validateWildcard(k, w)
-		} else if !end[len(kids)] {
-			// Unmatched child in an already-invalid model: skip silently.
-			continue
+	for i := 0; i < n; i++ {
+		// Index afresh: validating a child grows (and may move) the stack.
+		s := v.slots[base+i]
+		if s.decl != nil {
+			v.validateElement(s.node, s.decl)
+		} else if s.wild != nil {
+			v.validateWildcard(s.node, s.wild)
 		}
 	}
+	v.slots = v.slots[:base]
 }
 
 // validateWildcard applies the processContents mode to an element matched
@@ -211,20 +233,127 @@ func (v *validator) validateWildcard(elem *xmldom.Node, w *Wildcard) {
 	v.validateElement(elem, decl)
 }
 
-// singlePos returns a position set containing only p.
-func singlePos(p int) map[int]bool { return map[int]bool{p: true} }
+// childSlot is one element child under content-model matching, with the
+// declaration or wildcard the matcher assigned it (both nil when no
+// particle matched it).
+type childSlot struct {
+	node *xmldom.Node
+	decl *ElementDecl
+	wild *Wildcard
+}
+
+// posSet is a set of child positions 0..n, one bit per position, kept
+// as a word window: s[0] and s[1] bound the words [lo, hi) that may hold
+// set bits, and position p lives in word s[2+p>>6]. Words outside the
+// window are stale and never read, so allocating or clearing a set costs
+// nothing, and every operation costs the width of its operands' windows:
+// a long flat child list matched one position at a time stays linear.
+type posSet []uint64
+
+func (s posSet) bounds() (lo, hi int) { return int(s[0]), int(s[1]) }
+
+func (s posSet) reset() { s[0], s[1] = 0, 0 }
+
+// cover widens the window to include words [lo, hi), zeroing the words
+// it adds.
+func (s posSet) cover(lo, hi int) {
+	slo, shi := s.bounds()
+	if slo >= shi {
+		slo, shi = lo, lo
+	}
+	if lo < slo {
+		clear(s[2+lo : 2+slo])
+		slo = lo
+	}
+	if hi > shi {
+		clear(s[2+shi : 2+hi])
+		shi = hi
+	}
+	s[0], s[1] = uint64(slo), uint64(shi)
+}
+
+func (s posSet) add(p int) {
+	s.cover(p>>6, p>>6+1)
+	s[2+p>>6] |= 1 << (p & 63)
+}
+
+func (s posSet) has(p int) bool {
+	lo, hi := s.bounds()
+	return p>>6 >= lo && p>>6 < hi && s[2+p>>6]&(1<<(p&63)) != 0
+}
+
+func (s posSet) or(t posSet) {
+	lo, hi := t.bounds()
+	if lo >= hi {
+		return
+	}
+	s.cover(lo, hi)
+	for k := lo; k < hi; k++ {
+		s[2+k] |= t[2+k]
+	}
+}
+
+func (s posSet) empty() bool {
+	lo, hi := s.bounds()
+	for k := lo; k < hi; k++ {
+		if s[2+k] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s posSet) subsetOf(t posSet) bool {
+	lo, hi := s.bounds()
+	tlo, thi := t.bounds()
+	for k := lo; k < hi; k++ {
+		if w := s[2+k]; w != 0 && (k < tlo || k >= thi || w&^t[2+k] != 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // contentMatcher matches element children against a particle using
 // position-set (Thompson-style) reachability, which is polynomial and
-// handles nested occurrence bounds without backtracking blowups.
+// handles nested occurrence bounds without backtracking blowups. Position
+// sets are carved from one slab with stack discipline: every reach
+// releases what it allocated, so the slab stays proportional to the
+// content model's size, and one slab serves a whole validation.
 type contentMatcher struct {
 	schema *Schema
-	kids   []*xmldom.Node
-	assign map[*xmldom.Node]*ElementDecl
-	// wild records children consumed by xs:any particles, keyed to the
-	// admitting wildcard for the processContents pass.
-	wild   map[*xmldom.Node]*Wildcard
+	kids   []childSlot
 	maxPos int
+
+	slab []uint64
+	top  int
+}
+
+// match reports whether kids match content, recording each child's
+// declaration or wildcard in its slot and the furthest position any
+// particle consumed up to in maxPos (the error culprit).
+func (m *contentMatcher) match(schema *Schema, content *Particle, kids []childSlot) bool {
+	m.schema, m.kids, m.maxPos = schema, kids, 0
+	m.top = 0
+	start, end := m.alloc(), m.alloc()
+	start.add(0)
+	m.reach(content, start, end)
+	return end.has(len(kids))
+}
+
+// alloc returns an empty position set from the slab.
+func (m *contentMatcher) alloc() posSet {
+	size := len(m.kids)>>6 + 3 // window bounds, then positions 0..len(kids)
+	end := m.top + size
+	if end > len(m.slab) {
+		// Sets already handed out keep the old backing array; only space
+		// from top up is ever handed out of the new one.
+		m.slab = make([]uint64, max(2*len(m.slab), end+8*size))
+	}
+	s := posSet(m.slab[m.top:end:end])
+	s.reset()
+	m.top = end
+	return s
 }
 
 // matchDecl returns the declaration an element particle assigns to child
@@ -249,134 +378,117 @@ func (m *contentMatcher) matchDecl(p *Particle, k *xmldom.Node) *ElementDecl {
 	return nil
 }
 
-// reach returns the set of positions reachable after matching p starting
-// from every position in starts.
-func (m *contentMatcher) reach(p *Particle, starts map[int]bool) map[int]bool {
-	out := map[int]bool{}
-	if len(starts) == 0 {
-		return out
-	}
-	cur := starts
+// reach adds to out the positions reachable after matching p starting
+// from every position in starts, which is never empty (out must not
+// alias starts).
+func (m *contentMatcher) reach(p *Particle, starts, out posSet) {
+	// The fixpoint test needs this particle's own reach set, not out,
+	// which may already hold positions from sibling choice branches.
+	mark := m.top
+	acc, cur, next := m.alloc(), m.alloc(), m.alloc()
+	cur.or(starts)
 	count := 0
 	for {
 		if count >= p.Min {
-			for pos := range cur {
-				out[pos] = true
-			}
+			acc.or(cur)
 		}
 		if p.Max != Unbounded && count >= p.Max {
 			break
 		}
-		next := m.reachOnce(p, cur)
+		next.reset()
+		m.reachOnce(p, cur, next)
 		// Detect fixpoint (also guards min>0 groups that can match empty).
-		if len(next) == 0 || subset(next, out) && count >= p.Min {
-			for pos := range next {
-				out[pos] = true
-			}
+		if next.empty() || next.subsetOf(acc) && count >= p.Min {
+			acc.or(next)
 			break
 		}
-		cur = next
+		cur, next = next, cur
 		count++
 		if count > len(m.kids)+1 {
 			// A group matched without consuming input; accept and stop.
-			for pos := range cur {
-				out[pos] = true
-			}
+			acc.or(cur)
 			break
 		}
 	}
-	return out
+	out.or(acc)
+	m.top = mark
 }
 
-func subset(a, b map[int]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// reachOnce matches exactly one occurrence of the particle body.
-func (m *contentMatcher) reachOnce(p *Particle, starts map[int]bool) map[int]bool {
+// reachOnce adds to out the positions reachable by matching exactly one
+// occurrence of the particle body from starts.
+func (m *contentMatcher) reachOnce(p *Particle, starts, out posSet) {
 	switch p.Kind {
-	case PElement:
-		out := map[int]bool{}
-		for pos := range starts {
-			if pos >= len(m.kids) {
-				continue
-			}
-			if d := m.matchDecl(p, m.kids[pos]); d != nil {
-				m.assign[m.kids[pos]] = d
-				out[pos+1] = true
-				if pos+1 > m.maxPos {
-					m.maxPos = pos + 1
-				}
-			}
-		}
-		return out
-	case PAny:
-		out := map[int]bool{}
-		for pos := range starts {
-			if pos < len(m.kids) && p.Wildcard.Admits(m.kids[pos].URI) {
-				if m.wild != nil && m.assign[m.kids[pos]] == nil {
-					m.wild[m.kids[pos]] = p.Wildcard
-				}
-				out[pos+1] = true
-				if pos+1 > m.maxPos {
-					m.maxPos = pos + 1
-				}
-			}
-		}
-		return out
 	case PSequence:
-		cur := starts
+		mark, cur := m.top, starts
 		for _, c := range p.Children {
-			cur = m.reach(c, cur)
-			if len(cur) == 0 {
-				return cur
+			nxt := m.alloc()
+			m.reach(c, cur, nxt)
+			if cur = nxt; cur.empty() {
+				break
 			}
 		}
-		return cur
+		out.or(cur)
+		m.top = mark
 	case PChoice:
-		out := map[int]bool{}
 		for _, c := range p.Children {
-			for pos := range m.reach(c, starts) {
-				out[pos] = true
+			m.reach(c, starts, out)
+		}
+	default:
+		lo, hi := starts.bounds()
+		for k := lo; k < hi; k++ {
+			for w := starts[2+k]; w != 0; w &= w - 1 {
+				if end, ok := m.advance(p, k<<6|bits.TrailingZeros64(w)); ok {
+					out.add(end)
+				}
 			}
 		}
-		return out
-	case PAll:
-		// xsd:all: every child element particle at most per its bounds, in
-		// any order. Match greedily by consuming children that match any
-		// unused particle.
-		out := map[int]bool{}
-		for pos := range starts {
-			if end, ok := m.matchAll(p, pos); ok {
-				out[end] = true
-			}
-		}
-		return out
 	}
-	return nil
 }
 
-// matchAll matches an xsd:all group starting at pos.
+// advance matches one occurrence of an element, wildcard or all
+// particle at child position pos, returning the position after it.
+func (m *contentMatcher) advance(p *Particle, pos int) (int, bool) {
+	if p.Kind == PAll {
+		return m.matchAll(p, pos)
+	}
+	if pos >= len(m.kids) {
+		return 0, false
+	}
+	k := &m.kids[pos]
+	switch {
+	case p.Kind == PElement:
+		d := m.matchDecl(p, k.node)
+		if d == nil {
+			return 0, false
+		}
+		k.decl = d
+	case p.Wildcard.Admits(k.node.URI):
+		if k.decl == nil {
+			k.wild = p.Wildcard
+		}
+	default:
+		return 0, false
+	}
+	m.maxPos = max(m.maxPos, pos+1)
+	return pos + 1, true
+}
+
+// matchAll matches an xsd:all group starting at pos: every child element
+// particle at most per its bounds, in any order, greedily consuming
+// children that match any unused particle.
 func (m *contentMatcher) matchAll(p *Particle, pos int) (int, bool) {
-	used := make(map[*Particle]bool, len(p.Children))
+	used := make([]bool, len(p.Children))
 	for pos < len(m.kids) {
 		matched := false
-		for _, c := range p.Children {
-			if c.Kind != PElement || used[c] {
+		for i, c := range p.Children {
+			if c.Kind != PElement || used[i] {
 				continue
 			}
-			if d := m.matchDecl(c, m.kids[pos]); d != nil {
-				m.assign[m.kids[pos]] = d
-				used[c] = true
+			if d := m.matchDecl(c, m.kids[pos].node); d != nil {
+				m.kids[pos].decl = d
+				used[i] = true
 				pos++
-				if pos > m.maxPos {
-					m.maxPos = pos
-				}
+				m.maxPos = max(m.maxPos, pos)
 				matched = true
 				break
 			}
@@ -385,8 +497,8 @@ func (m *contentMatcher) matchAll(p *Particle, pos int) (int, bool) {
 			break
 		}
 	}
-	for _, c := range p.Children {
-		if c.Min > 0 && !used[c] {
+	for i, c := range p.Children {
+		if c.Min > 0 && !used[i] {
 			return 0, false
 		}
 	}
@@ -394,17 +506,17 @@ func (m *contentMatcher) matchAll(p *Particle, pos int) (int, bool) {
 }
 
 func (v *validator) validateAttributes(elem *xmldom.Node, ct *ComplexType) {
-	declared := map[string]*AttributeDecl{}
-	for _, ad := range ct.Attributes {
-		declared[ad.Name] = ad
-	}
 	for _, a := range elem.Attr {
 		if a.URI == xmldom.XMLNSNamespace || a.URI == xmldom.XMLNamespace {
 			continue // namespace declarations and xml: attributes pass
 		}
 		var ad *AttributeDecl
 		if a.URI == "" {
-			ad = declared[a.Name]
+			for _, d := range ct.Attributes {
+				if d.Name == a.Name {
+					ad = d // the last declaration of a name wins
+				}
+			}
 		}
 		if ad == nil {
 			// An anyAttribute wildcard admits undeclared attributes in
@@ -645,85 +757,107 @@ func digitCounts(v string) (total, frac int, ok bool) {
 
 // ---- identity constraints ----
 
-// checkConstraintScope evaluates key/unique/keyref constraints declared on
-// decl against the subtree rooted at elem. Keyrefs are resolved against
+// checkIdentity evaluates the key/unique/keyref constraints declared on
+// decl against the subtree rooted at scope. Keyrefs resolve against the
 // keys declared on the same element, matching how the paper's schema
-// declares them all on the root.
-func (v *validator) checkConstraintScope(elem *xmldom.Node, decl *ElementDecl, ic *IdentityConstraint) {
-	tuples, nodes := v.collectTuples(elem, ic)
-	switch ic.Kind {
-	case KeyConstraint, UniqueConstraint:
-		seen := map[string]*xmldom.Node{}
-		for i, tup := range tuples {
-			if tup == "" {
-				if ic.Kind == KeyConstraint {
-					v.errf(nodes[i], "key %s: a selected node is missing a field value", ic.Name)
-				}
-				continue
-			}
-			if prev, dup := seen[tup]; dup {
-				v.errf(nodes[i], "%s %s: duplicate value (%s) also selected at %s",
-					ic.Kind, ic.Name, tup, prev.Path())
-				continue
-			}
-			seen[tup] = nodes[i]
+// declares them all on the root. Each key or unique constraint's table
+// is built once, at its own turn or when a keyref needs it first, and
+// every keyref referring to it reads the same table.
+func (v *validator) checkIdentity(scope *xmldom.Node, decl *ElementDecl) {
+	tables := make([]map[string]*xmldom.Node, len(decl.Constraints))
+	table := func(i int) map[string]*xmldom.Node {
+		if tables[i] == nil {
+			tables[i] = v.keyTable(scope, decl.Constraints[i])
 		}
-	case KeyrefConstraint:
-		var target *IdentityConstraint
-		for _, other := range decl.Constraints {
-			if other.Name == ic.Refer && (other.Kind == KeyConstraint || other.Kind == UniqueConstraint) {
-				target = other
+		return tables[i]
+	}
+	for i, ic := range decl.Constraints {
+		if ic.Kind != KeyrefConstraint {
+			table(i)
+			continue
+		}
+		target := -1
+		for j, other := range decl.Constraints {
+			if other.Name == ic.Refer && other.Kind != KeyrefConstraint {
+				target = j
 				break
 			}
 		}
-		if target == nil {
-			v.errf(elem, "keyref %s refers to unknown key %s", ic.Name, ic.Refer)
-			return
+		if target < 0 {
+			v.report(scope, &IdentityViolation{Constraint: ic, Scope: scope, Node: scope},
+				"keyref %s refers to unknown key %s", ic.Name, ic.Refer)
+			continue
 		}
-		keyTuples, _ := v.collectTuples(elem, target)
-		keys := map[string]bool{}
-		for _, tup := range keyTuples {
-			if tup != "" {
-				keys[tup] = true
-			}
-		}
-		for i, tup := range tuples {
-			if tup == "" {
-				continue
-			}
-			if !keys[tup] {
-				v.errf(nodes[i], "keyref %s: value (%s) does not match any %s value",
-					ic.Name, tup, ic.Refer)
+		keys := table(target)
+		tuples, nodes := v.collectTuples(scope, ic)
+		for k, tup := range tuples {
+			if tup != "" && keys[tup] == nil {
+				v.report(nodes[k], &IdentityViolation{Constraint: ic, Scope: scope, Node: nodes[k], Value: tup,
+					Target: decl.Constraints[target], Keys: keys},
+					"keyref %s: value (%s) does not match any %s value", ic.Name, tup, ic.Refer)
 			}
 		}
 	}
 }
 
+// keyTable evaluates a key or unique constraint within scope, reporting
+// its violations, and returns each field tuple mapped to the first node
+// selecting it.
+func (v *validator) keyTable(scope *xmldom.Node, ic *IdentityConstraint) map[string]*xmldom.Node {
+	tuples, nodes := v.collectTuples(scope, ic)
+	first := make(map[string]*xmldom.Node, len(tuples))
+	for k, tup := range tuples {
+		n := nodes[k]
+		switch prev := first[tup]; {
+		case tup == "":
+			if ic.Kind == KeyConstraint {
+				v.report(n, &IdentityViolation{Constraint: ic, Scope: scope, Node: n},
+					"key %s: a selected node is missing a field value", ic.Name)
+			}
+		case prev != nil:
+			v.report(n, &IdentityViolation{Constraint: ic, Scope: scope, Node: n, Value: tup, First: prev},
+				"%s %s: duplicate value (%s) also selected at %s", ic.Kind, ic.Name, tup, prev.Path())
+		default:
+			first[tup] = n
+		}
+	}
+	return first
+}
+
+// selectHook, when set by a test, observes every identity-constraint
+// selector evaluation.
+var selectHook func(ic *IdentityConstraint, scope *xmldom.Node)
+
 // collectTuples evaluates the selector and fields of a constraint and
 // returns one encoded tuple per selected node (empty string when a field
-// is absent).
-func (v *validator) collectTuples(elem *xmldom.Node, ic *IdentityConstraint) ([]string, []*xmldom.Node) {
+// is absent). The tuple slice is validator scratch, valid until the next
+// call.
+func (v *validator) collectTuples(scope *xmldom.Node, ic *IdentityConstraint) ([]string, []*xmldom.Node) {
+	if selectHook != nil {
+		selectHook(ic, scope)
+	}
 	ctx := xpath.GetContext()
 	defer xpath.PutContext(ctx)
-	ctx.Node, ctx.Position, ctx.Size = elem, 1, 1
+	ctx.Node, ctx.Position, ctx.Size = scope, 1, 1
 	selected, err := ic.Selector.EvalNodes(ctx)
 	if err != nil {
-		v.errf(elem, "%s %s: selector %q failed: %v", ic.Kind, ic.Name, ic.selectorSrc, err)
+		v.report(scope, &IdentityViolation{Constraint: ic, Scope: scope, Node: scope},
+			"%s %s: selector %q failed: %v", ic.Kind, ic.Name, ic.selectorSrc, err)
 		return nil, nil
 	}
-	tuples := make([]string, len(selected))
+	tuples := v.tuples[:0]
 	// One context and one field-part buffer serve every selected node:
 	// field expressions do not retain the context past Eval.
-	fctx := ctx
 	parts := v.parts[:0]
-	for i, n := range selected {
+	for _, n := range selected {
 		parts = parts[:0]
 		complete := true
 		for _, f := range ic.Fields {
-			fctx.Node = n
-			fv, err := f.Eval(fctx)
+			ctx.Node = n
+			fv, err := f.Eval(ctx)
 			if err != nil {
-				v.errf(n, "%s %s: field failed: %v", ic.Kind, ic.Name, err)
+				v.report(n, &IdentityViolation{Constraint: ic, Scope: scope, Node: n},
+					"%s %s: field failed: %v", ic.Kind, ic.Name, err)
 				complete = false
 				break
 			}
@@ -734,13 +868,15 @@ func (v *validator) collectTuples(elem *xmldom.Node, ic *IdentityConstraint) ([]
 			}
 			parts = append(parts, xpath.ToString(fv))
 		}
+		tup := ""
 		if complete {
 			// Encode with an unlikely separator so multi-field tuples
 			// cannot collide.
-			tuples[i] = strings.Join(parts, "\x1f")
+			tup = strings.Join(parts, "\x1f")
 		}
+		tuples = append(tuples, tup)
 	}
-	v.parts = parts[:0]
+	v.parts, v.tuples = parts[:0], tuples[:0]
 	return tuples, selected
 }
 
